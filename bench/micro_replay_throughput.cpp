@@ -24,8 +24,7 @@
  *
  *  - varint: traceFor (capture through TraceWriter, LEB128 encode,
  *    serialize, parse) followed by MaterializedTrace::build — the
- *    v1 golden reference, and the only path under
- *    -DMMXDSP_FORCE_V1_CAPTURE=ON;
+ *    v1 golden reference;
  *  - direct: materializedFor on a cache-less suite, which captures
  *    straight into the SoA buffers through a trace::MaterializeSink
  *    (no varint encode or decode anywhere).
@@ -303,9 +302,8 @@ main(int argc, char **argv)
     // -- cold-capture arms: execution to a replayable trace, both ways --
     // Each repetition pays the full cold miss on a fresh cache-less
     // suite. The varint arm is capture -> LEB128 encode -> serialize ->
-    // parse -> build; the direct arm is materializedFor, which (outside
-    // MMXDSP_FORCE_V1_CAPTURE builds) captures straight into the SoA
-    // buffers through a MaterializeSink.
+    // parse -> build; the direct arm is materializedFor, which captures
+    // straight into the SoA buffers through a MaterializeSink.
     double cold_varint_seconds = 0.0;
     for (int rep = 0; rep < kRepetitions; ++rep) {
         harness::BenchmarkSuite cold(opts.suiteConfig(),
@@ -560,10 +558,7 @@ main(int argc, char **argv)
                      wide_speedup, kPackedSpeedupGate);
         return 1;
     }
-#ifndef MMXDSP_FORCE_V1_CAPTURE
-    // The cold-capture perf gate (optimized builds only; under
-    // MMXDSP_FORCE_V1_CAPTURE both arms run the varint path, so only
-    // the identity checks apply).
+    // The cold-capture perf gate (optimized builds only).
     if (cold_capture_speedup < kColdCaptureGate) {
         std::fprintf(stderr,
                      "FAIL: direct cold capture only %.2fx vs varint "
@@ -571,7 +566,6 @@ main(int argc, char **argv)
                      cold_capture_speedup, kColdCaptureGate);
         return 1;
     }
-#endif
 #endif
     return 0;
 }

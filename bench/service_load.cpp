@@ -154,6 +154,7 @@ main(int argc, char **argv)
     std::fprintf(stderr, "populating %zu traces (scale %d)...\n",
                  pairs.size(), opts.scale);
     double populate_seconds = 0.0;
+    uint64_t populate_captures = 0;
     std::vector<double> capture_lat;
     capture_lat.reserve(pairs.size());
     {
@@ -177,12 +178,12 @@ main(int argc, char **argv)
             capture_lat.push_back(dt);
             populate_seconds += dt;
         }
-        if (engine.stats().captures != pairs.size()) {
+        populate_captures = engine.stats().captures;
+        if (populate_captures != pairs.size()) {
             std::fprintf(stderr,
                          "FAIL: expected %zu captures, got %llu\n",
                          pairs.size(),
-                         static_cast<unsigned long long>(
-                             engine.stats().captures));
+                         static_cast<unsigned long long>(populate_captures));
             return 1;
         }
     }
@@ -323,7 +324,8 @@ main(int argc, char **argv)
                 "%zu total, scale %d\n\n",
                 pairs.size(), hot.size(), n_queries, opts.scale);
     Table table({"metric", "value"});
-    table.addRow({"populate (19 captures)",
+    table.addRow({"populate ms (" + std::to_string(populate_captures)
+                      + " captures)",
                   Table::fmtCount(
                       static_cast<int64_t>(populate_seconds * 1e3))});
     table.addRow({"warm batch ms",

@@ -290,9 +290,7 @@ BenchmarkSuite::run(const std::string &benchmark, const std::string &version)
         if (traceCache_.load(benchmark, version, h, *reader)) {
             cached = traces_.emplace(tkey, std::move(reader)).first;
             ++activity_.disk_hits;
-        }
-#ifndef MMXDSP_FORCE_V1_CAPTURE
-        else {
+        } else {
             // No varint entry, but a previous process may have
             // published the materialized (v2) image: mmap it and
             // replay, which is cheaper than either decode or re-run.
@@ -308,7 +306,6 @@ BenchmarkSuite::run(const std::string &benchmark, const std::string &version)
                 return pos->second;
             }
         }
-#endif
     }
 
     if (cached != traces_.end()) {
@@ -386,12 +383,10 @@ BenchmarkSuite::runAll(int n_threads)
             jobs[i].reader = std::move(reader);
             return;
         }
-#ifndef MMXDSP_FORCE_V1_CAPTURE
         auto mat = std::make_shared<trace::MaterializedTrace>();
         if (traceCache_.loadMaterialized(jobs[i].benchmark,
                                          jobs[i].version, h, *mat))
             jobs[i].mat = std::move(mat);
-#endif
     });
     for (Job &job : jobs) {
         if (job.reader) {
@@ -471,14 +466,13 @@ BenchmarkSuite::materializedFor(const std::string &benchmark,
     if (it != materialized_.end())
         return it->second;
 
-#ifndef MMXDSP_FORCE_V1_CAPTURE
     // The direct cold path: when no varint trace exists yet (neither in
     // memory nor on disk), capture straight into the SoA buffers via a
     // MaterializeSink — one pass, no varint encode or decode anywhere —
     // and publish the v2 image so the next process mmaps instead of
     // re-executing. An existing v1 entry (this process or disk) still
-    // wins: it is already paid for. MMXDSP_FORCE_V1_CAPTURE pins the
-    // varint reference path below for golden comparisons.
+    // wins: it is already paid for. The varint path below stays the
+    // golden reference for MaterializeSink (test_materialize_sink.cc).
     if (!traces_.count(key)) {
         const uint64_t h = config_.hash();
         {
@@ -505,7 +499,6 @@ BenchmarkSuite::materializedFor(const std::string &benchmark,
             return mat;
         }
     }
-#endif
 
     auto reader = ensureTrace(benchmark, version);
     auto mat = std::make_shared<trace::MaterializedTrace>(

@@ -135,9 +135,9 @@ class BenchmarkSuite
      * When neither an in-memory nor an on-disk trace exists, the cold
      * capture goes straight into the SoA buffers through a
      * trace::MaterializeSink (no varint encode/decode; the v2 image is
-     * published to the trace cache with capture-time checksums).
-     * Building MMXDSP_FORCE_V1_CAPTURE pins the varint golden path
-     * (capture → v1 encode → decode → build) instead.
+     * published to the trace cache with capture-time checksums). The
+     * varint path (capture → v1 encode → decode → build) is the golden
+     * reference it is checked against in-process.
      */
     std::shared_ptr<const trace::MaterializedTrace>
     materializedFor(const std::string &benchmark,

@@ -1,8 +1,8 @@
 /**
  * Scalar lane-loop reference implementations (mmx_scalar.hh). Kept
- * out-of-line on purpose: this is the golden oracle the SWAR and host
- * paths are differentially tested against, and the active path when the
- * build forces MMXDSP_FORCE_SCALAR_MMX.
+ * out-of-line on purpose: this is the golden oracle the host-SSE2 path
+ * is differentially tested against, and the active path on targets
+ * without SSE2.
  */
 
 #include "mmx_scalar.hh"

@@ -4,12 +4,11 @@
  *
  * This is the golden semantics oracle: one lane at a time, written to
  * read like the Intel manual. It is always compiled (the differential
- * tests compare every fast path against it bit-for-bit) and becomes the
- * active implementation when the build is configured with
- * -DMMXDSP_FORCE_SCALAR_MMX=ON. Definitions live out-of-line in
- * mmx_ops.cc, which is also what makes this path a faithful stand-in
- * for the original per-lane emulation when benchmarking the SWAR
- * rewrite.
+ * tests compare the host-SSE2 path against it bit-for-bit) and is the
+ * active implementation on targets without SSE2. Definitions live
+ * out-of-line in mmx_ops.cc, which is also what makes this path a
+ * faithful stand-in for the original per-lane emulation when
+ * benchmarking the host path (bench/micro_mmx_ops.cpp).
  */
 
 #ifndef MMXDSP_MMX_MMX_SCALAR_HH

@@ -257,7 +257,7 @@ class Cpu
 
     /*
      * Two-operand MMX value ops, generated header-inline from
-     * mmx/mmx_op_list.hh: a call compiles down to the SWAR/SSE2 bit ops
+     * mmx/mmx_op_list.hh: a call compiles down to the host SSE2 ops
      * plus one buffered event append, with no out-of-line hop on the
      * hot path of the NSP kernels.
      */

@@ -530,13 +530,8 @@ MaterializedTrace::replaySweep(const std::vector<sim::MachineConfig> &machines,
         uniqueOf[i] = u;
     }
 
-#ifdef MMXDSP_FORCE_SCALAR_SWEEP
-    std::vector<profile::ProfileResult> uniqueResults =
-        replaySweepScalar(unique, threads);
-#else
     std::vector<profile::ProfileResult> uniqueResults =
         replaySweepPacked(unique, threads);
-#endif
 
     if (unique.size() == machines.size())
         return uniqueResults;

@@ -199,10 +199,9 @@ class MaterializedTrace
      * Duplicate configurations are computed once and fanned back out;
      * unique ones go through the config-parallel kernel (one pass over
      * the trace advancing one lane per configuration — see
-     * replaySweepPacked()), or through the scalar reference path when
-     * the build pins MMXDSP_FORCE_SCALAR_SWEEP. Results are
-     * index-aligned with @p configs and bit-identical to per-config
-     * replayProfile() calls either way.
+     * replaySweepPacked()). Results are index-aligned with @p configs
+     * and bit-identical to per-config replayProfile() calls and to
+     * replaySweepScalar().
      */
     std::vector<profile::ProfileResult>
     replaySweep(const std::vector<sim::TimerConfig> &configs,
@@ -223,8 +222,7 @@ class MaterializedTrace
      * (the pre-config-parallel behavior, kept as the identity oracle).
      * Entries sharing a BTB geometry share a recorded prediction pass;
      * everything else is simulated per configuration. Exposed so tests
-     * and benches can check the packed kernel against it regardless of
-     * which path replaySweep() dispatches to.
+     * and benches can check the packed kernel against it in-process.
      */
     std::vector<profile::ProfileResult>
     replaySweepScalar(const std::vector<sim::MachineConfig> &machines,

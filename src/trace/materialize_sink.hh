@@ -19,8 +19,8 @@
  * the event stream of a capture produces a trace whose replay results
  * AND serialized v2 image are byte-identical to the varint reference
  * path (TraceWriter → TraceReader → MaterializedTrace::build) over the
- * same stream. The reference path stays selectable as the suite's
- * capture path with -DMMXDSP_FORCE_V1_CAPTURE=ON.
+ * same stream. Tests and micro_replay_throughput run both paths over
+ * one capture in-process.
  */
 
 #ifndef MMXDSP_TRACE_MATERIALIZE_SINK_HH

@@ -25,7 +25,7 @@
  *     together in ONE pass over the trace, one lane per config, with
  *     lane-major state (scoreboard rows hold one cycle count per lane,
  *     so the same-register gather/scatter is a contiguous vector) and
- *     mask-select per-lane updates in the style of mmx_swar.hh. The
+ *     mask-select per-lane updates (SIMD within a register). The
  *     selects are arithmetic (x ^ ((x ^ y) & mask)) rather than
  *     ternaries on purpose: whether a lane pairs/joins is data-dependent
  *     and effectively random, so a compiled branch would mispredict
@@ -63,10 +63,7 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 #include <utility>
@@ -1359,13 +1356,6 @@ MaterializedTrace::replaySweepPacked(
     if (machines.empty())
         return results;
 
-    const bool dbg = std::getenv("MMXDSP_SWEEP_DEBUG") != nullptr;
-    auto now = [] { return std::chrono::steady_clock::now(); };
-    auto ms = [](auto a, auto b) {
-        return std::chrono::duration<double, std::milli>(b - a).count();
-    };
-    const auto t0 = now();
-
     // ---- 1. hoist the config-independent program (one pass) ----
     SweepProgram prog;
     prog.n = op_.size();
@@ -1495,7 +1485,6 @@ MaterializedTrace::replaySweepPacked(
             btbKeys.push_back(bk);
         btbGeoOf[i] = bg;
     }
-    const auto t1 = now();
     std::vector<L1GeoMemo> l1Memos(l1Keys.size());
     std::vector<MemGeoMemo> memMemos(memKeys.size());
     std::vector<BtbGeoMemo> btbMemos(btbKeys.size());
@@ -1513,7 +1502,6 @@ MaterializedTrace::replaySweepPacked(
         memMemos[g] = buildMemMemo(l1Memos[memL1Of[g]],
                                    machines[memRep[g]].timer.l2, prog);
     });
-    const auto t2 = now();
 
     // ---- 3. lane blocks per model, sized so the workers share the
     // pass count evenly but no block exceeds kMaxLanes ----
@@ -1555,14 +1543,6 @@ MaterializedTrace::replaySweepPacked(
     parallelFor(blocks.size(), threads, [&](size_t b) {
         runModelBlock(blocks[b].model, prog, blocks[b].lanes, results);
     });
-    if (dbg) {
-        const auto t3 = now();
-        std::fprintf(stderr,
-                     "[sweep] prog %.2fms memos(%zu+%zu) %.2fms lanes(%zu "
-                     "blocks) %.2fms total %.2fms\n",
-                     ms(t0, t1), memKeys.size(), btbKeys.size(), ms(t1, t2),
-                     blocks.size(), ms(t2, t3), ms(t0, t3));
-    }
     return results;
 }
 

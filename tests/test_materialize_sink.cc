@@ -315,14 +315,12 @@ TEST(MaterializeSink, SuiteColdCapturePublishesAndReloadsAcrossProcesses)
     EXPECT_EQ(first.traceActivity().captured, 1);
     EXPECT_EQ(first.traceActivity().disk_hits, 0);
 
-#ifndef MMXDSP_FORCE_V1_CAPTURE
     // The direct path publishes the materialized (v2) image and never
     // produces varint bytes at all.
     const trace::TraceCache cache(scratch.path.string());
     const uint64_t h = config.hash();
     EXPECT_TRUE(fs::exists(cache.pathV2("fir", "mmx", h)));
     EXPECT_FALSE(fs::exists(cache.path("fir", "mmx", h)));
-#endif
 
     harness::BenchmarkSuite second(config, opts);
     auto mat2 = second.materializedFor("fir", "mmx");

@@ -96,6 +96,8 @@ TEST(MmxOps, PaddusbSaturatesUnsigned)
     MmxReg r = paddusb(a, b);
     for (int i = 0; i < 8; ++i)
         EXPECT_EQ(r.ub(i), 255);
+    EXPECT_EQ(paddusb(MmxReg::splatB(0xff), MmxReg::splatB(1)).bits,
+              MmxReg::splatB(0xff).bits);
 }
 
 TEST(MmxOps, PsubusbFloorsAtZero)
@@ -105,6 +107,7 @@ TEST(MmxOps, PsubusbFloorsAtZero)
     MmxReg r = psubusb(a, b);
     for (int i = 0; i < 8; ++i)
         EXPECT_EQ(r.ub(i), 0);
+    EXPECT_EQ(psubusw(MmxReg::splatW(0), MmxReg::splatW(1)).bits, 0ull);
 }
 
 // ---------------- multiply ----------------
@@ -152,6 +155,7 @@ TEST(MmxOps, PcmpgtwIsSignedAllOnesMask)
     EXPECT_EQ(r.uw(1), 0x0000); // -1 not > 0 signed
     EXPECT_EQ(r.uw(2), 0x0000); // equal
     EXPECT_EQ(r.uw(3), 0x0000);
+    EXPECT_EQ(pcmpgtw(MmxReg::splatW(1), MmxReg::splatW(-1)).bits, ~0ull);
 }
 
 TEST(MmxOps, PcmpeqbMask)
@@ -178,6 +182,9 @@ TEST(MmxOps, PacksswbSaturatesWordsToBytes)
     EXPECT_EQ(r.sb(5), -128);
     EXPECT_EQ(r.sb(6), 127);
     EXPECT_EQ(r.sb(7), -128);
+    EXPECT_EQ(packsswb(MmxReg::splatW(0x300), MmxReg::splatW(-0x300)).bits,
+              MmxReg::fromBytes(0x7f, 0x7f, 0x7f, 0x7f, 0x80, 0x80, 0x80,
+                                0x80).bits);
 }
 
 TEST(MmxOps, PackuswbSaturatesSignedWordsToUnsignedBytes)
@@ -271,6 +278,9 @@ TEST(MmxOps, PsrawReplicatesSignBit)
     EXPECT_EQ(r.sw(1), 0);
     EXPECT_EQ(r.sw(2), -1);
     EXPECT_EQ(r.sw(3), 0);
+    EXPECT_EQ(psraw(MmxReg::splatW(-2), 1).bits, MmxReg::splatW(-1).bits);
+    EXPECT_EQ(psraw(MmxReg::splatW(-2), 999).bits,
+              MmxReg::splatW(-1).bits);
 }
 
 TEST(MmxOps, ShiftByFullWidthZeroesLogical)
@@ -408,24 +418,38 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MmxPropertyTest,
 
 // ================= differential suite =================
 //
-// The dispatch header compiles three interchangeable implementations of
-// every op (scalar reference, generic SWAR, host SSE2 when available).
-// These tests drive all of them through the X-macro op list with
+// The dispatch header compiles two interchangeable implementations of
+// every op (scalar reference, host SSE2 when the target has it). These
+// tests drive the active one through the X-macro op list with
 // adversarial lane values and random operands and demand bit-for-bit
-// agreement with the scalar oracle — the gate that lets the fast paths
+// agreement with the scalar oracle — the gate that lets the fast path
 // replace the reference on the capture hot path without ever changing
 // benchmark outputs or trace contents.
+
+// Without this, an x86-64 build that lost the SSE2 path would fall back
+// to the out-of-line scalar bodies and still pass every identity test.
+TEST(MmxOps, ActivePathIsHostSimdOnAmd64)
+{
+#if defined(__x86_64__)
+#if defined(MMXDSP_MMX_HAVE_HOST_SIMD)
+    EXPECT_EQ(&active::paddsw, &host::paddsw);
+#else
+    FAIL() << "x86-64 build without MMXDSP_MMX_HAVE_HOST_SIMD";
+#endif
+#else
+    GTEST_SKIP() << "host SIMD path is only required on x86-64";
+#endif
+}
 
 struct BinOpEntry
 {
     const char *name;
     MmxReg (*ref)(MmxReg, MmxReg);
-    MmxReg (*fast)(MmxReg, MmxReg);
     MmxReg (*act)(MmxReg, MmxReg);
 };
 
 constexpr BinOpEntry kBinOps[] = {
-#define MMXDSP_X(op, op_enum) {#op, &scalar::op, &swar::op, &op},
+#define MMXDSP_X(op, op_enum) {#op, &scalar::op, &op},
     MMXDSP_MMX_BINOP_LIST(MMXDSP_X)
 #undef MMXDSP_X
 };
@@ -434,12 +458,11 @@ struct ShiftOpEntry
 {
     const char *name;
     MmxReg (*ref)(MmxReg, unsigned);
-    MmxReg (*fast)(MmxReg, unsigned);
     MmxReg (*act)(MmxReg, unsigned);
 };
 
 constexpr ShiftOpEntry kShiftOps[] = {
-#define MMXDSP_X(op, op_enum) {#op, &scalar::op, &swar::op, &op},
+#define MMXDSP_X(op, op_enum) {#op, &scalar::op, &op},
     MMXDSP_MMX_SHIFT_LIST(MMXDSP_X)
 #undef MMXDSP_X
 };
@@ -476,11 +499,7 @@ TEST(MmxDifferential, BinopsAgreeOnAdversarialLanes)
     for (const BinOpEntry &op : kBinOps) {
         for (MmxReg a : regs) {
             for (MmxReg b : regs) {
-                const MmxReg want = op.ref(a, b);
-                EXPECT_EQ(op.fast(a, b).bits, want.bits)
-                    << op.name << " swar mismatch, a=0x" << std::hex
-                    << a.bits << " b=0x" << b.bits;
-                EXPECT_EQ(op.act(a, b).bits, want.bits)
+                EXPECT_EQ(op.act(a, b).bits, op.ref(a, b).bits)
                     << op.name << " active mismatch, a=0x" << std::hex
                     << a.bits << " b=0x" << b.bits;
             }
@@ -495,11 +514,7 @@ TEST(MmxDifferential, BinopsAgreeOnRandomLanes)
         for (int iter = 0; iter < 4096; ++iter) {
             const MmxReg a = randomReg(rng);
             const MmxReg b = randomReg(rng);
-            const MmxReg want = op.ref(a, b);
-            ASSERT_EQ(op.fast(a, b).bits, want.bits)
-                << op.name << " swar mismatch, a=0x" << std::hex << a.bits
-                << " b=0x" << b.bits;
-            ASSERT_EQ(op.act(a, b).bits, want.bits)
+            ASSERT_EQ(op.act(a, b).bits, op.ref(a, b).bits)
                 << op.name << " active mismatch, a=0x" << std::hex << a.bits
                 << " b=0x" << b.bits;
         }
@@ -515,11 +530,7 @@ TEST(MmxDifferential, ShiftsAgreeIncludingOverwideCounts)
     for (const ShiftOpEntry &op : kShiftOps) {
         for (MmxReg a : regs) {
             for (unsigned c : counts) {
-                const MmxReg want = op.ref(a, c);
-                EXPECT_EQ(op.fast(a, c).bits, want.bits)
-                    << op.name << " swar mismatch, a=0x" << std::hex
-                    << a.bits << std::dec << " count=" << c;
-                EXPECT_EQ(op.act(a, c).bits, want.bits)
+                EXPECT_EQ(op.act(a, c).bits, op.ref(a, c).bits)
                     << op.name << " active mismatch, a=0x" << std::hex
                     << a.bits << std::dec << " count=" << c;
             }
@@ -534,35 +545,12 @@ TEST(MmxDifferential, ShiftsAgreeOnRandomLanes)
         for (int iter = 0; iter < 4096; ++iter) {
             const MmxReg a = randomReg(rng);
             const unsigned c = static_cast<unsigned>(rng.nextBelow(70));
-            ASSERT_EQ(op.fast(a, c).bits, op.ref(a, c).bits)
-                << op.name << " swar mismatch, a=0x" << std::hex << a.bits
-                << std::dec << " count=" << c;
             ASSERT_EQ(op.act(a, c).bits, op.ref(a, c).bits)
                 << op.name << " active mismatch, a=0x" << std::hex << a.bits
                 << std::dec << " count=" << c;
         }
     }
 }
-
-// The SWAR formulations are constexpr: spot-check the saturation and
-// smear algebra at compile time.
-static_assert(swar::paddsw(MmxReg::splatW(0x7fff), MmxReg::splatW(1)).bits
-              == MmxReg::splatW(0x7fff).bits);
-static_assert(swar::paddsw(MmxReg::splatW(-0x8000), MmxReg::splatW(-1)).bits
-              == MmxReg::splatW(-0x8000).bits);
-static_assert(swar::paddusb(MmxReg::splatB(0xff), MmxReg::splatB(1)).bits
-              == MmxReg::splatB(0xff).bits);
-static_assert(swar::psubusw(MmxReg::splatW(0), MmxReg::splatW(1)).bits == 0);
-static_assert(swar::pcmpgtw(MmxReg::splatW(1), MmxReg::splatW(-1)).bits
-              == ~0ull);
-static_assert(swar::packsswb(MmxReg::splatW(0x300),
-                             MmxReg::splatW(-0x300)).bits
-              == MmxReg::fromBytes(0x7f, 0x7f, 0x7f, 0x7f, 0x80, 0x80, 0x80,
-                                   0x80).bits);
-static_assert(swar::psraw(MmxReg::splatW(-2), 1).bits
-              == MmxReg::splatW(-1).bits);
-static_assert(swar::psraw(MmxReg::splatW(-2), 999).bits
-              == MmxReg::splatW(-1).bits);
 
 } // namespace
 } // namespace mmxdsp::mmx

@@ -12,9 +12,9 @@
  *    version) pairs: replaySweepPacked() == replaySweepScalar() for
  *    every entry, P5 and P6 alike.
  *
- * These tests deliberately go through both replaySweepPacked() and
- * replaySweepScalar() explicitly, so they pin the identity regardless
- * of which path MMXDSP_FORCE_SCALAR_SWEEP makes replaySweep() take.
+ * These tests go through both replaySweepPacked() and
+ * replaySweepScalar() explicitly, so one build checks the fast path
+ * against its reference in-process.
  */
 
 #include <gtest/gtest.h>
